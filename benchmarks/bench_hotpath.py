@@ -242,41 +242,24 @@ _MATRIX_SLICE = (
 def bench_matrix(quick: bool) -> dict:
     scenarios = [make_scenario(p, a, d) for p, a, d in _MATRIX_SLICE]
     seeds = sweep_seeds(1 if quick else 3)
-
-    def timed_sweep(batch_size):
-        # Steady-state throughput: one untimed sweep warms the persistent
-        # worker pool, then best-of-3 timed sweeps (the same best-of
-        # convention as _time_call) measure the dispatch hot path without
-        # conflating it with one-time pool boot cost.
-        with Runner(parallel=4, timeout=300.0, batch_size=batch_size) as runner:
-            runner.run(scenarios, seeds)
-            best = float("inf")
-            for _ in range(3):
-                started = time.perf_counter()
-                results = runner.run(scenarios, seeds)
-                best = min(best, time.perf_counter() - started)
-        failures = [result.scenario for result in results if not result.ok]
-        return {
-            "batch_size": "auto" if batch_size is None else batch_size,
-            "runs": len(results),
-            "failures": failures,
-            "seconds": round(best, 3),
-            "runs_per_sec": round(len(results) / best, 3),
-        }
-
-    unbatched = timed_sweep(1)
-    batched = timed_sweep(None)  # the default: auto-sized microbatches
+    # Steady-state throughput: one untimed sweep warms the persistent
+    # worker pool, then best-of-3 timed sweeps (the same best-of convention
+    # as _time_call) measure the dispatch hot path without conflating it
+    # with one-time pool boot cost.
+    with Runner(parallel=4, timeout=300.0) as runner:
+        runner.run(scenarios, seeds)
+        best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            results = runner.run(scenarios, seeds)
+            best = min(best, time.perf_counter() - started)
     return {
         "scenarios": len(scenarios),
         "seeds": len(seeds),
-        "runs": batched["runs"],
-        "failures": unbatched["failures"] + batched["failures"],
-        # Headline numbers are the default configuration (auto batching).
-        "seconds": batched["seconds"],
-        "runs_per_sec": batched["runs_per_sec"],
-        "batched": batched,
-        "unbatched": unbatched,
-        "batching_speedup": round(batched["runs_per_sec"] / unbatched["runs_per_sec"], 3),
+        "runs": len(results),
+        "failures": [result.scenario for result in results if not result.ok],
+        "seconds": round(best, 3),
+        "runs_per_sec": round(len(results) / best, 3),
     }
 
 

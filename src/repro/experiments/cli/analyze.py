@@ -108,7 +108,6 @@ def command_analyze(args: argparse.Namespace) -> int:
     try:
         with ExecutionSession(
             parallel=args.parallel,
-            batch_size=args.batch_size,
             store_path=args.store,
             max_retries=args.max_retries,
             fail_fast=args.fail_fast,

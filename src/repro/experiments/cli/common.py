@@ -44,26 +44,16 @@ def add_slice_arguments(parser: argparse.ArgumentParser, with_scenario: bool = T
 
 
 def add_parallelism_arguments(parser: argparse.ArgumentParser) -> None:
-    """The pool-shape knobs shared by ``run``, ``analyze`` and ``fuzz``.
+    """The ``--parallel`` flag shared by ``run``, ``analyze`` and ``fuzz``.
 
-    ``--parallel`` sizes the worker pool; ``--batch-size`` sizes the
-    microbatch each worker dispatch carries.  Both are pure throughput
-    knobs: any combination (including serial) produces byte-identical
-    records.
+    It sizes the worker pool, a pure throughput knob: any worker count
+    (including serial) produces byte-identical records.  How work is
+    batched across the workers is the supervisor's decision, not a flag.
     """
     from .validators import positive_int
 
     parser.add_argument(
         "--parallel", type=positive_int, default=None, metavar="W", help="worker processes (default: serial)"
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=positive_int,
-        default=None,
-        metavar="B",
-        help="tasks per parallel worker dispatch; amortizes dispatch overhead "
-        "while keeping results, caching and retries per-task (default: sized "
-        "automatically from the sweep and worker counts)",
     )
 
 

@@ -107,7 +107,6 @@ def command_fuzz(args: argparse.Namespace) -> int:
     try:
         with ExecutionSession(
             parallel=args.parallel,
-            batch_size=args.batch_size,
             timeout=args.timeout,
             store_path=args.store,
             max_retries=args.max_retries,

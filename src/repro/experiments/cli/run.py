@@ -176,7 +176,6 @@ def command_run(args: argparse.Namespace) -> int:
         with _maybe_profiled(args.profile):
             with ExecutionSession(
                 parallel=args.parallel,
-                batch_size=args.batch_size,
                 timeout=args.timeout,
                 store_path=args.store,
                 max_retries=args.max_retries,

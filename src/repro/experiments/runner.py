@@ -11,11 +11,11 @@ determinism test suite pins down and every regression baseline relies on.
 pool (or runs it in-process): the pool is created once, lazily, and reused
 by every subsequent :meth:`Runner.run` / :meth:`Runner.iter_runs` call, so
 repeated sweeps pay worker startup once instead of per batch.  Work is
-dispatched through the supervised dispatcher in **microbatches** (see
-``batch_size``): each worker round-trip carries a chunk of consecutive
-tasks, amortizing pickle/pool overhead, while faults, retries, quarantine
-and store caching stay per-task and a small reorder buffer still yields
-results in deterministic ``scenarios × seeds`` order.  An
+dispatched through the supervised dispatcher
+(:class:`~repro.resilience.supervisor.Supervisor`), which batches tasks
+itself and keeps one batch in flight per worker, while faults, retries,
+quarantine and store caching stay per-task and a small reorder buffer still
+yields results in deterministic ``scenarios × seeds`` order.  An
 optional per-run wall-clock timeout is enforced with ``SIGALRM`` inside the
 worker, so a hung run is reported as an ``error`` record instead of stalling
 the sweep.  Close the pool with :meth:`Runner.close`, use the runner as a
@@ -417,26 +417,16 @@ class Runner:
         fault_plan: Deterministic fault injection for chaos tests; defaults
             to the plan in the ``REPRO_FAULT_PLAN`` environment variable,
             else none.  The serial path never injects faults.
-        supervision_deadline: Per-task wall-clock ceiling (seconds from
-            dispatch) after which supervision presumes the worker hung and
-            reclaims it.  Defaults to ``timeout`` plus a grace period when
-            a per-run timeout is set (the worker's own ``SIGALRM`` should
-            fire first), else no deadline (worker *death* is still caught
-            via pool pid churn).
-        batch_size: Tasks per parallel worker dispatch.  ``None`` sizes the
-            microbatch automatically from the miss count and worker count
-            (see :meth:`_effective_batch_size`); ``1`` restores one dispatch
-            per task.  Batching amortizes pickle/pool overhead only — result
-            order, store caching and crash/retry/poison supervision are
-            per-task at every size, and serial execution ignores it.
+        supervision_deadline: Per-task wall-clock ceiling after which
+            supervision presumes the worker hung and reclaims it (a batch
+            of k tasks gets k times this, counted from its dispatch).
+            Defaults to ``timeout`` plus a grace period when a per-run
+            timeout is set (the worker's own ``SIGALRM`` should fire
+            first), else no deadline (worker *death* is still caught via
+            pool pid churn).
         on_log: Optional sink for supervision/teardown log lines; defaults
             to the module logger.
     """
-
-    MAX_AUTO_BATCH = 16
-    """Ceiling for automatically sized microbatches: large enough to make
-    dispatch overhead invisible, small enough that one straggler cannot
-    serialise a meaningful fraction of a sweep behind it."""
 
     def __init__(
         self,
@@ -446,13 +436,10 @@ class Runner:
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         supervision_deadline: Optional[float] = None,
-        batch_size: Optional[int] = None,
         on_log: Optional[Callable[[str], None]] = None,
     ):
         if parallel is not None and parallel < 0:
             raise ValueError("parallel must be a non-negative worker count")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be a positive task count (or None for auto)")
         if start_method is not None and start_method not in multiprocessing.get_all_start_methods():
             raise ValueError(
                 f"start method {start_method!r} not available; "
@@ -479,7 +466,6 @@ class Runner:
         if supervision_deadline is None and timeout is not None:
             supervision_deadline = timeout + SUPERVISION_GRACE
         self.supervision_deadline = supervision_deadline
-        self.batch_size = batch_size
         self.supervision = SupervisionStats()
         self.on_log = on_log
         self._fault_state = FaultState(plan=fault_plan)
@@ -562,20 +548,6 @@ class Runner:
     # ------------------------------------------------------------------
     # Generic task execution (shared by sweeps and the analysis pipeline)
     # ------------------------------------------------------------------
-    def _effective_batch_size(self, miss_count: int) -> int:
-        """Tasks per worker dispatch for a parallel sweep of ``miss_count`` misses.
-
-        An explicit :attr:`batch_size` wins.  Auto aims for roughly two
-        batches per worker — enough slack that a straggler batch cannot idle
-        the pool while the per-dispatch overhead (pickling the payload, pool
-        plumbing, supervision polls) is amortized over the batch — capped at
-        :data:`MAX_AUTO_BATCH` so huge sweeps still stream results steadily.
-        """
-        if self.batch_size is not None:
-            return self.batch_size
-        workers = self.parallel or 1
-        return max(1, min(self.MAX_AUTO_BATCH, miss_count // (workers * 2) or 1))
-
     def iter_tasks(
         self,
         func: Any,
@@ -658,8 +630,7 @@ class Runner:
             while next_index in pending:  # cached results before the first miss: serve now
                 yield pending.pop(next_index)
                 next_index += 1
-            batch_size = self._effective_batch_size(len(misses))
-            for index, result in supervisor.map_unordered(worker, indexed, batch_size=batch_size):
+            for index, result in supervisor.map_unordered(worker, indexed):
                 if isinstance(result, PoisonRecord):
                     if on_poison is None:
                         raise TaskQuarantinedError(result.index, result.attempts, result.reason)
@@ -692,10 +663,10 @@ class Runner:
     ) -> Iterator[RunResult]:
         """Yield results in ``scenarios × seeds`` order as they become available.
 
-        Parallel sweeps dispatch with ``imap_unordered`` (no worker ever
-        waits on another chunk's straggler) and reorder through a small
-        buffer, so the yielded sequence is deterministic while early results
-        can be aggregated before the sweep finishes.
+        Parallel sweeps dispatch through :meth:`iter_tasks` (every worker
+        busy with its own batch) and reorder through a small buffer, so the
+        yielded sequence is deterministic while early results can be
+        aggregated before the sweep finishes.
 
         With a ``store`` (a :class:`repro.store.RunStore`), the sweep is
         **incremental**: requested runs are partitioned into cache hits —

@@ -70,10 +70,6 @@ class ExecutionSession:
             retry budget is ``max_retries + 1`` total attempts) and to
             failing store flushes.  ``None`` uses the
             :class:`~repro.resilience.retry.RetryPolicy` default.
-        batch_size: Tasks per parallel worker dispatch (the runner's
-            microbatching knob); ``None`` sizes batches automatically.
-            Purely a throughput knob — results are byte-identical at every
-            size.
         fail_fast: Stop a job at its first failed unit of work (first
             failed run, first divergent verdict, first fuzz violation)
             instead of completing the whole matrix.
@@ -100,21 +96,17 @@ class ExecutionSession:
         start_method: Optional[str] = None,
         store_options: Optional[dict] = None,
         max_retries: Optional[int] = None,
-        batch_size: Optional[int] = None,
         fail_fast: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         trace_path: Optional[Union[str, pathlib.Path]] = None,
     ):
         if max_retries is not None and max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be a positive task count (or None for auto)")
         self.parallel = parallel
         self.timeout = timeout
         self.store_path = pathlib.Path(store_path) if store_path is not None else None
         self.start_method = start_method
         self.max_retries = max_retries
-        self.batch_size = batch_size
         self.fail_fast = fail_fast
         self.fault_plan = fault_plan
         self.trace_path = pathlib.Path(trace_path) if trace_path is not None else None
@@ -154,7 +146,6 @@ class ExecutionSession:
                 start_method=self.start_method,
                 retry_policy=self._retry_policy(),
                 fault_plan=self.fault_plan,
-                batch_size=self.batch_size,
             )
         return self._runner
 

@@ -9,8 +9,8 @@ forever.  :class:`Supervisor` replaces that loop with a windowed
 
 * **detection** — each poll compares the pool's worker pid set against a
   snapshot (a vanished or replaced pid means a worker died) and checks
-  every in-flight task against a per-task deadline (a hung worker never
-  churns a pid, only the deadline catches it);
+  every in-flight batch against the per-task deadline times its length (a
+  hung worker never churns a pid, only the deadline catches it);
 * **recovery** — on a detected fault the pool is respawned and every
   unharvested in-flight task is re-dispatched under the
   :class:`~repro.resilience.retry.RetryPolicy`, with seeded backoff;
@@ -20,6 +20,10 @@ forever.  :class:`Supervisor` replaces that loop with a windowed
   :class:`PoisonRecord` after its attempt budget instead of aborting the
   sweep.
 
+The supervisor alone decides how work is batched: items travel in strided
+batches, one batch in flight per worker, so ``parallel=N`` keeps N workers
+busy and a batch starts the moment it is dispatched.
+
 Because tasks are pure functions of their items, a re-dispatched task
 reproduces the same bytes, and completion-order jitter is absorbed by the
 caller's reorder buffer — supervision is invisible to result content.
@@ -27,6 +31,7 @@ caller's reorder buffer — supervision is invisible to result content.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -50,6 +55,10 @@ _OBS_QUARANTINED = METRICS.counter("supervisor.quarantined")
 
 _POLL_INTERVAL = 0.02
 """Default seconds between supervision polls while tasks are in flight."""
+
+MAX_AUTO_BATCH = 16
+"""Ceiling on a batch's length: large enough to make dispatch overhead
+invisible, small enough that huge sweeps still stream results steadily."""
 
 SUPERVISION_GRACE = 5.0
 """Seconds added to a runner's per-run timeout to form the parent-side
@@ -99,7 +108,7 @@ def _supervised_invoke_batch(
     hang_seconds: float,
     indexed_items: Tuple[Tuple[int, Any], ...],
 ) -> List[Any]:
-    """Worker entry for a microbatch: run each item, faults applied per item.
+    """Worker entry for a batch: run each item, faults applied per item.
 
     Items execute in item order with their *own* fault tags, so a crash
     entry keyed to the third task of a batch kills the worker exactly when
@@ -122,7 +131,7 @@ class _Task:
 
     ``items`` is the ordered ``(index, item)`` list travelling in one
     worker dispatch — a plain task is just a batch of one.  A batch shares
-    one attempt counter; after a crash, multi-item batches are split into
+    one attempt counter; after a crash, lost batches are split into
     singletons that *inherit* the counter, so the per-task attempt
     accounting the retry policy and quarantine thresholds reason about is
     preserved (the batch dispatch was attempt one for every member).
@@ -149,10 +158,10 @@ class Supervisor:
         fault_state: Deterministic fault bookkeeping (may wrap ``plan=None``,
             in which case no faults are ever injected — detection and
             recovery still run, they just never trigger).
-        deadline: Optional per-task wall-clock ceiling (seconds from
-            dispatch) after which an in-flight task is presumed lost to a
-            hung worker.  ``None`` disables deadline detection (pid churn
-            still catches outright deaths).
+        deadline: Optional per-task wall-clock ceiling; a batch in flight
+            longer than this times its length (seconds from dispatch) is
+            presumed lost to a hung worker.  ``None`` disables deadline
+            detection (pid churn still catches outright deaths).
         stats: Counters to accumulate into (the runner shares one across
             all its dispatches).
         on_log: Optional sink for supervision log lines.
@@ -179,7 +188,8 @@ class Supervisor:
         self._poll_interval = poll_interval
         self._call = fault_state.begin_call()
         self._pids: Optional[frozenset] = None
-        # index -> (async_result, dispatched_at); insertion order is dispatch order
+        # first slot -> (async_result, dispatched_at, task) for each batch in
+        # flight; insertion order is dispatch order
         self._outstanding: Dict[int, Tuple[Any, float, _Task]] = {}
 
     # ------------------------------------------------------------------
@@ -210,8 +220,22 @@ class Supervisor:
             return False
 
     def _window(self) -> int:
-        workers = self._runner.parallel or 1
-        return max(1, workers * 2)
+        # One batch per worker: a dispatched batch starts at once, so its
+        # deadline measures execution, never time queued behind a sibling.
+        return max(1, self._runner.parallel or 1)
+
+    def _batches(self, items: List[Tuple[int, Any]]) -> List[_Task]:
+        """Split ``items`` into strided batches, about two per worker.
+
+        Each batch's length is capped at :data:`MAX_AUTO_BATCH` so a huge
+        sweep still streams results.  Batches are strided
+        (``items[start::count]``), not contiguous, so a run of neighbouring
+        expensive items (the analysis pipeline's large systems sit next to
+        each other) spreads across batches instead of serialising in one.
+        """
+        size = max(1, min(MAX_AUTO_BATCH, len(items) // (self._window() * 2)))
+        count = -(-len(items) // size)
+        return [_Task(items=items[start::count]) for start in range(count)]
 
     def _can_dispatch(self, task: _Task, now: float) -> bool:
         if task.eligible_at > now:
@@ -220,8 +244,8 @@ class Supervisor:
             # Isolation: a retried task runs alone so a recurring crash is
             # attributed to it and only it.
             return not self._outstanding
-        if any(entry[2].attempts > 0 for entry in self._outstanding.values()):
-            return False
+        if any(entry[2].attempts > 1 for entry in self._outstanding.values()):
+            return False  # a retried task is running in isolation
         return len(self._outstanding) < self._window()
 
     def _detect_fault(self, pool: Any, now: float) -> Optional[str]:
@@ -231,22 +255,23 @@ class Supervisor:
         if self._pids is not None and pids is not None and pids != self._pids:
             return "pool worker pids churned (a worker died and was replaced)"
         if self._deadline is not None:
-            for index, (_result, started, _task) in self._outstanding.items():
-                if now - started > self._deadline:
+            for index, (_result, started, task) in self._outstanding.items():
+                deadline = self._deadline * len(task.items)
+                if now - started > deadline:
                     return (
-                        f"task {index} exceeded the {self._deadline:.1f}s "
+                        f"task {index} exceeded the {deadline:.1f}s "
                         "supervision deadline (worker presumed hung)"
                     )
         return None
 
     def _recover(self, reason: str, queue: Deque[_Task]) -> List[Tuple[int, PoisonRecord]]:
-        """Respawn the pool; requeue, split or quarantine every unharvested task.
+        """Respawn the pool; requeue or quarantine every unharvested task.
 
-        A lost multi-item batch is never retried (or quarantined) wholesale:
-        it splits into singleton tasks inheriting the batch's attempt count,
-        so the culprit is re-executed in isolation and quarantine decisions
-        stay per-task — an injected poison fault takes down exactly its own
-        task, and the innocent batch-mates simply re-run.
+        Lost batches are never retried (or quarantined) wholesale: every
+        lost item becomes a singleton task inheriting its batch's attempt
+        count, so the culprit is re-executed in isolation and quarantine
+        decisions stay per-task — an injected poison fault takes down
+        exactly its own task, and the innocent items simply re-run.
         """
         self.stats.crashes_detected += 1
         _OBS_CRASHES.inc()
@@ -262,20 +287,14 @@ class Supervisor:
         _OBS_RESPAWNS.inc()
         poisoned: List[Tuple[int, PoisonRecord]] = []
         now = time.monotonic()
-        singles: List[Tuple[_Task, bool]] = []
-        for task in lost:
-            if len(task.items) > 1:
-                singles.extend(
-                    (_Task(items=[pair], attempts=task.attempts), True) for pair in task.items
-                )
-            else:
-                singles.append((task, False))
-        for task, fresh_split in reversed(singles):  # appendleft keeps original dispatch order
-            # A singleton fresh off a batch split has never run in isolation,
-            # so it cannot be quarantined off this crash — the culprit could
-            # be any batch-mate.  It is requeued even with its attempt budget
-            # spent; the *next* crash (now attributable) quarantines it.
-            if not fresh_split and task.attempts >= self._policy.max_attempts:
+        singles = [_Task(items=[pair], attempts=task.attempts) for task in lost for pair in task.items]
+        # Only a fault with exactly one item in flight names its culprit.
+        # With several, any of them could be to blame, so each is requeued
+        # even with its attempt budget spent; the *next* crash, now in
+        # isolation, quarantines it.
+        attributable = len(singles) == 1
+        for task in reversed(singles):  # appendleft keeps original dispatch order
+            if attributable and task.attempts >= self._policy.max_attempts:
                 self.stats.quarantined += 1
                 _OBS_QUARANTINED.inc()
                 self._log(
@@ -296,7 +315,7 @@ class Supervisor:
     # The dispatch loop
     # ------------------------------------------------------------------
     def map_unordered(
-        self, worker: Any, indexed_items: Iterable[Tuple[int, Any]], batch_size: int = 1
+        self, worker: Any, indexed_items: Iterable[Tuple[int, Any]]
     ) -> Iterator[Tuple[int, Any]]:
         """Yield ``worker((index, item))`` results in completion order.
 
@@ -305,22 +324,43 @@ class Supervisor:
         ``(index, PoisonRecord)`` instead; the caller decides whether that
         aborts the sweep or becomes a typed poison result.
 
-        ``batch_size`` microbatches dispatch: consecutive items travel to a
-        worker in chunks of that size, amortizing pickle and pool plumbing
-        over the chunk while results are still yielded (and faults still
+        Items travel to workers in strided batches (see :meth:`_batches`),
+        one batch in flight per worker, amortizing pickle and pool plumbing
+        over the batch while results are still yielded (and faults still
         injected, retried and quarantined) per item.  Results within a
         harvested batch arrive in item order; across batches, completion
         order — the caller's reorder buffer makes both invisible.
         """
-        items_list = list(indexed_items)
-        batch_size = max(1, int(batch_size))
-        queue: Deque[_Task] = deque(
-            _Task(items=items_list[start : start + batch_size])
-            for start in range(0, len(items_list), batch_size)
-        )
+        queue: Deque[_Task] = deque(self._batches(list(indexed_items)))
         hang_seconds = self._faults.plan.hang_seconds if self._faults.plan else 0.0
+        # Set by the pool on any completion, so the loop wakes for whichever
+        # batch finishes first instead of waiting on one particular batch.
+        wake = threading.Event()
+
+        def notify(_value: Any) -> None:
+            wake.set()
+
         while queue or self._outstanding:
+            wake.clear()
+            # Harvest everything that completed.
+            completed = [
+                index for index, (result, _s, _t) in self._outstanding.items() if result.ready()
+            ]
+            for index in completed:
+                async_result, started, _task = self._outstanding.pop(index)
+                _OBS_TASK_WALL.observe(time.monotonic() - started)
+                # .get() re-raises an exception the task itself raised —
+                # that is a task failure, not a worker fault, and it
+                # propagates to the caller.
+                yield from async_result.get()
             now = time.monotonic()
+            # Check health before dispatching more: a batch dispatched after
+            # an undetected crash would be lost with it and charged an attempt.
+            if self._outstanding:
+                fault_reason = self._detect_fault(self._runner._ensure_pool(), now)
+                if fault_reason is not None:
+                    yield from self._recover(fault_reason, queue)
+                    continue
             # Dispatch from the front while the window (or isolation) allows.
             while queue and self._can_dispatch(queue[0], now):
                 task = queue.popleft()
@@ -331,7 +371,7 @@ class Supervisor:
                 self.stats.dispatched += len(task.items)
                 _OBS_DISPATCHED.inc(len(task.items))
                 # One fault tag per item, computed in item order so the
-                # plan's dispatch numbering is identical at every batch size.
+                # plan's dispatch numbering follows the dispatch order.
                 faults = tuple(
                     self._faults.worker_fault((self._call, index), task.attempts)
                     for index, _item in task.items
@@ -339,31 +379,12 @@ class Supervisor:
                 async_result = pool.apply_async(
                     _supervised_invoke_batch,
                     (worker, faults, hang_seconds, tuple(task.items)),
+                    callback=notify,
+                    error_callback=notify,
                 )
                 self._outstanding[task.index] = (async_result, time.monotonic(), task)
-            # Harvest everything that completed.
-            completed = [
-                index for index, (result, _s, _t) in self._outstanding.items() if result.ready()
-            ]
-            if completed:
-                for index in completed:
-                    async_result, started, _task = self._outstanding.pop(index)
-                    _OBS_TASK_WALL.observe(time.monotonic() - started)
-                    # .get() re-raises an exception the task itself raised —
-                    # that is a task failure, not a worker fault, and it
-                    # propagates exactly as it did under imap_unordered.
-                    yield from async_result.get()
-                continue
-            if not self._outstanding:
+            if self._outstanding:
+                wake.wait(self._poll_interval)
+            elif queue:
                 # Nothing in flight: the front task is backing off.
-                if queue:
-                    time.sleep(max(0.0, min(self._poll_interval, queue[0].eligible_at - now)))
-                continue
-            pool = self._runner._ensure_pool()
-            fault_reason = self._detect_fault(pool, now)
-            if fault_reason is not None:
-                for poisoned in self._recover(fault_reason, queue):
-                    yield poisoned
-                continue
-            # Block briefly on one in-flight result (wakes early on completion).
-            next(iter(self._outstanding.values()))[0].wait(self._poll_interval)
+                time.sleep(max(0.0, min(self._poll_interval, queue[0].eligible_at - now)))

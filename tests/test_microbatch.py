@@ -1,22 +1,25 @@
-"""Microbatched dispatch: a pure throughput knob, never a semantics knob.
+"""Batched, concurrent dispatch: a throughput decision, never a semantics one.
 
-The runner amortizes pickle/pool overhead by shipping *batches* of tasks
-per worker dispatch (``batch_size``, default sized automatically).  The
-contract this file pins down: every batch size — serial, 1, small, larger
-than the sweep, auto — produces **byte-identical** result sequences; a warm
-store still serves an identical re-sweep with zero dispatches; and
-supervision stays *per-task* under batching — a crashed batch is split and
-re-dispatched so that exactly the poison task is quarantined, never its
-innocent batch-mates.
+The supervisor ships *strided batches* of tasks per worker dispatch, one
+batch in flight per worker, with batch sizes it works out itself.  The
+contract this file pins down: a parallel sweep whose batches hold several
+tasks is **byte-identical** to the serial sweep; a warm store still serves
+an identical re-sweep with zero dispatches; supervision stays *per-task*
+under batching — a crashed batch is split and re-dispatched so that exactly
+the poison task is quarantined, never its innocent batch-mates; and
+``parallel=N`` really runs N tasks at once, with deadlines that measure
+execution rather than time spent queued.
 """
+
+import time
 
 import pytest
 
-from repro.experiments.cli import main as cli_main
 from repro.experiments.runner import POISON_ERROR_PREFIX, Runner
 from repro.experiments.scenario import find_scenarios
-from repro.jobs import EXIT_CONFIG, ExecutionSession, SweepJob
-from repro.resilience import FaultPlan, RetryPolicy
+from repro.resilience import FaultPlan, RetryPolicy, Supervisor
+from repro.resilience.faults import FaultState
+from repro.resilience.supervisor import MAX_AUTO_BATCH
 from repro.store import RunStore
 
 SLICE = [
@@ -25,8 +28,7 @@ SLICE = [
     "binary+crash+synchronous",
     "quad+crash+synchronous",
 ]
-SEEDS = [1, 2]
-BATCH_SIZES = [1, 3, 7, None]  # unit, mid-sweep split, ragged tail, auto
+SEEDS = [1, 2, 3]  # 12 runs: at parallel=2 the supervisor ships batches of 3
 
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0, backoff_max=0.0)
 
@@ -35,64 +37,46 @@ def canonical_results(results):
     return [result.canonical_json() for result in results]
 
 
-def sweep(batch_size=None, **runner_kwargs):
-    runner = Runner(batch_size=batch_size, **runner_kwargs)
+def sweep(**runner_kwargs):
+    runner = Runner(**runner_kwargs)
     try:
         return canonical_results(runner.iter_runs(find_scenarios(SLICE), SEEDS)), runner
     finally:
         runner.close()
 
 
-# ----------------------------------------------------------------------
-# Byte-identity across batch sizes
-# ----------------------------------------------------------------------
-class TestBatchSizeByteIdentity:
-    def test_every_batch_size_matches_the_serial_sweep(self):
-        baseline, _ = sweep()  # serial: batch_size is ignored entirely
-        for batch_size in BATCH_SIZES:
-            parallel, runner = sweep(batch_size=batch_size, parallel=2)
-            assert parallel == baseline, f"batch_size={batch_size} diverged"
-            assert runner.supervision.dispatched == len(SLICE) * len(SEEDS)
+def _sleep(seconds):
+    time.sleep(seconds)
+    return seconds
 
-    def test_serial_sweep_ignores_batch_size(self):
-        baseline, _ = sweep()
-        serial_batched, runner = sweep(batch_size=5)
-        assert serial_batched == baseline
-        assert runner.supervision.dispatched == 0  # serial path never batches
 
-    def test_oversized_batch_is_one_dispatch(self):
-        baseline, _ = sweep()
-        huge, runner = sweep(batch_size=100, parallel=2)
-        assert huge == baseline
+def warm_runner(**runner_kwargs):
+    """A parallel runner whose pool is already up, so timings exclude boot."""
+    runner = Runner(parallel=2, **runner_kwargs)
+    list(runner.iter_tasks(_sleep, [0.0, 0.0]))
+    return runner
+
+
+# ----------------------------------------------------------------------
+# Byte-identity with serial
+# ----------------------------------------------------------------------
+class TestBatchedByteIdentity:
+    def test_batched_parallel_sweep_matches_the_serial_sweep(self):
+        baseline, serial = sweep()
+        parallel, runner = sweep(parallel=2)
+        assert parallel == baseline
+        assert serial.supervision.dispatched == 0  # serial path never dispatches
         assert runner.supervision.dispatched == len(SLICE) * len(SEEDS)
 
-
-# ----------------------------------------------------------------------
-# Auto batch sizing
-# ----------------------------------------------------------------------
-class TestEffectiveBatchSize:
-    def test_explicit_size_always_wins(self):
-        runner = Runner(parallel=4, batch_size=7)
-        assert runner._effective_batch_size(1) == 7
-        assert runner._effective_batch_size(10**6) == 7
-        runner.close()
-
-    def test_auto_scales_with_misses_and_is_capped(self):
-        runner = Runner(parallel=4)
-        assert runner._effective_batch_size(5) == 1  # tiny sweeps stay unbatched
-        assert runner._effective_batch_size(100) == 100 // 8
-        assert runner._effective_batch_size(10**6) == Runner.MAX_AUTO_BATCH
-        runner.close()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            Runner(batch_size=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            ExecutionSession(batch_size=-3)
-
-    def test_session_threads_batch_size_into_its_runner(self):
-        with ExecutionSession(parallel=2, batch_size=4) as session:
-            assert session.runner.batch_size == 4
+    def test_batches_are_strided_and_capped(self):
+        runner = Runner(parallel=2)
+        supervisor = Supervisor(runner, FAST_RETRY, FaultState())
+        items = [(index, None) for index in range(12)]
+        batches = [[index for index, _item in task.items] for task in supervisor._batches(items)]
+        assert batches == [[0, 4, 8], [1, 5, 9], [2, 6, 10], [3, 7, 11]]
+        huge = supervisor._batches([(index, None) for index in range(1000)])
+        assert max(len(task.items) for task in huge) == MAX_AUTO_BATCH
+        assert sorted(index for task in huge for index, _item in task.items) == list(range(1000))
 
 
 # ----------------------------------------------------------------------
@@ -102,13 +86,13 @@ class TestWarmStoreUnderBatching:
     def test_second_sweep_executes_zero_runs(self, tmp_path):
         scenarios = find_scenarios(SLICE)
         with RunStore(tmp_path / "runs.db") as store:
-            cold = Runner(parallel=2, batch_size=3)
+            cold = Runner(parallel=2)
             try:
                 first = canonical_results(cold.iter_runs(scenarios, SEEDS, store=store))
                 assert cold.supervision.dispatched == len(scenarios) * len(SEEDS)
             finally:
                 cold.close()
-            warm = Runner(parallel=2, batch_size=3)
+            warm = Runner(parallel=2)
             try:
                 second = canonical_results(warm.iter_runs(scenarios, SEEDS, store=store))
                 assert warm.supervision.dispatched == 0
@@ -124,7 +108,7 @@ class TestWarmStoreUnderBatching:
                 list(seeded.iter_runs(scenarios[:2], SEEDS, store=store))
             finally:
                 seeded.close()
-            topped_up = Runner(parallel=2, batch_size=3)
+            topped_up = Runner(parallel=2)
             try:
                 results = canonical_results(topped_up.iter_runs(scenarios, SEEDS, store=store))
                 assert topped_up.supervision.dispatched == 2 * len(SEEDS)
@@ -141,7 +125,7 @@ class TestBatchSupervision:
     def test_crashed_batch_recovers_every_member(self):
         baseline, _ = sweep()
         plan = FaultPlan(seed=1, worker_crash=(1, 4))
-        runner = Runner(parallel=2, batch_size=3, retry_policy=FAST_RETRY, fault_plan=plan)
+        runner = Runner(parallel=2, retry_policy=FAST_RETRY, fault_plan=plan)
         try:
             survived = canonical_results(runner.iter_runs(find_scenarios(SLICE), SEEDS))
             assert runner.supervision.crashes_detected >= 1
@@ -150,15 +134,15 @@ class TestBatchSupervision:
             runner.close()
         assert survived == baseline
 
-    @pytest.mark.parametrize("batch_size", [2, 3, 8])
-    def test_poison_quarantines_exactly_the_affected_task(self, batch_size):
-        # Task 2 is poison (crashes on every attempt).  Under batching its
-        # whole batch crashes with it, but recovery splits the batch into
-        # singletons: batch-mates must complete normally and only task 2 may
-        # be quarantined — with the same attempt accounting as unbatched.
+    @pytest.mark.parametrize("poison", [0, 4, 5])  # first, middle and last of a batch
+    def test_poison_quarantines_exactly_the_affected_task(self, poison):
+        # One task is poison (crashes on every attempt).  Its whole batch
+        # crashes with it, and so may the batch running beside it, but
+        # recovery splits lost batches into singletons: the others must
+        # complete normally and only the poison task may be quarantined.
         scenarios = find_scenarios(SLICE)
-        plan = FaultPlan(poison=(2,))
-        runner = Runner(parallel=2, batch_size=batch_size, retry_policy=FAST_RETRY, fault_plan=plan)
+        plan = FaultPlan(poison=(poison,))
+        runner = Runner(parallel=2, retry_policy=FAST_RETRY, fault_plan=plan)
         try:
             results = list(runner.iter_runs(scenarios, SEEDS))
         finally:
@@ -178,39 +162,49 @@ class TestBatchSupervision:
         assert healthy_json <= baseline_set
         assert len(baseline_set - healthy_json) == 1
 
+    def test_concurrent_crash_is_not_blamed_on_the_other_batch(self):
+        # With no retries granted, a task that crashes beside another batch
+        # cannot be blamed on the spot: both are re-run in isolation, and
+        # only the one that crashes again is quarantined.
+        runner = Runner(
+            parallel=2,
+            retry_policy=RetryPolicy(max_attempts=1, backoff_base=0.0, backoff_max=0.0),
+            fault_plan=FaultPlan(poison=(1,)),
+        )
+        try:
+            results = list(runner.iter_tasks(_sleep, [0.2, 0.0, 0.0, 0.0], on_poison=lambda i, r: r))
+        finally:
+            runner.close()
+        assert [type(result).__name__ for result in results].count("PoisonRecord") == 1
+        assert results[0] == 0.2
+        assert runner.supervision.quarantined == 1
+
 
 # ----------------------------------------------------------------------
-# The CLI / session surface
+# Concurrency: --parallel N runs N, deadlines measure execution
 # ----------------------------------------------------------------------
-class TestBatchSizeCLI:
-    @pytest.mark.parametrize("command", ["run", "analyze", "fuzz"])
-    @pytest.mark.parametrize("value", ["0", "-2", "three"])
-    def test_batch_size_validated_at_parse_time(self, command, value, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli_main([command, "--batch-size", value])
-        assert excinfo.value.code == EXIT_CONFIG
-        assert "expected a positive integer" in capsys.readouterr().err
+class TestConcurrentDispatch:
+    def test_two_workers_overlap_sleep_tasks(self):
+        runner = warm_runner()
+        try:
+            started = time.monotonic()
+            results = list(runner.iter_tasks(_sleep, [0.4] * 8))
+            elapsed = time.monotonic() - started
+        finally:
+            runner.close()
+        assert results == [0.4] * 8
+        assert elapsed < 0.75 * 8 * 0.4, f"8 x 0.4 s tasks at parallel=2 took {elapsed:.2f} s"
 
-    def test_batched_cli_sweep_matches_unbatched_store(self, tmp_path, capsys):
-        base = ["run", "--scenario"] + SLICE + ["--seeds", "2", "--quiet"]
-        assert cli_main(base + ["--store", str(tmp_path / "plain.db")]) == 0
-        batched = base + ["--parallel", "2", "--batch-size", "3"]
-        assert cli_main(batched + ["--store", str(tmp_path / "batched.db")]) == 0
-        capsys.readouterr()
-        with RunStore(tmp_path / "plain.db") as plain, RunStore(tmp_path / "batched.db") as fast:
-            plain_records = sorted(r.canonical_json() for r in plain.iter_records())
-            batched_records = sorted(r.canonical_json() for r in fast.iter_records())
-        assert plain_records == batched_records
-        assert len(plain_records) == len(SLICE) * 2
-
-    def test_session_sweep_job_respects_batch_size(self, tmp_path):
-        from repro.jobs import select_scenarios, specs_to_payloads
-
-        scenarios = select_scenarios(SLICE)
-        job = SweepJob(specs_to_payloads(scenarios), seeds=(1,), collect_records=True)
-        with ExecutionSession(parallel=2, batch_size=2, store_path=tmp_path / "runs.db") as session:
-            outcome = session.submit(job)
-            assert session.runner.supervision.dispatched == len(SLICE)
-        # The batched job's records are byte-identical to a serial sweep.
-        produced = canonical_results(outcome.records)
-        assert produced == canonical_results(Runner().iter_runs(scenarios, [1]))
+    def test_queued_tasks_do_not_trip_the_deadline(self):
+        # Each task runs 0.7 s, inside the 1.0 s per-task deadline, but
+        # eight of them take ~2.8 s on two workers: a deadline that counted
+        # queue time (or shared one per-task deadline across a batch) would
+        # report false hangs here and re-run tasks.
+        runner = warm_runner(supervision_deadline=1.0)
+        try:
+            results = list(runner.iter_tasks(_sleep, [0.7] * 8))
+        finally:
+            runner.close()
+        assert results == [0.7] * 8
+        assert runner.supervision.crashes_detected == 0
+        assert runner.supervision.retries == 0
