@@ -15,8 +15,10 @@ import time
 
 import pytest
 
+from repro.experiments.cli import main as cli_main
 from repro.experiments.runner import POISON_ERROR_PREFIX, Runner
 from repro.experiments.scenario import find_scenarios
+from repro.jobs import EXIT_CONFIG, ExecutionSession, SweepJob
 from repro.resilience import FaultPlan, RetryPolicy, Supervisor
 from repro.resilience.faults import FaultState
 from repro.resilience.supervisor import MAX_AUTO_BATCH
@@ -37,10 +39,10 @@ def canonical_results(results):
     return [result.canonical_json() for result in results]
 
 
-def sweep(**runner_kwargs):
+def sweep(seeds=SEEDS, **runner_kwargs):
     runner = Runner(**runner_kwargs)
     try:
-        return canonical_results(runner.iter_runs(find_scenarios(SLICE), SEEDS)), runner
+        return canonical_results(runner.iter_runs(find_scenarios(SLICE), seeds)), runner
     finally:
         runner.close()
 
@@ -77,6 +79,55 @@ class TestBatchedByteIdentity:
         huge = supervisor._batches([(index, None) for index in range(1000)])
         assert max(len(task.items) for task in huge) == MAX_AUTO_BATCH
         assert sorted(index for task in huge for index, _item in task.items) == list(range(1000))
+
+    @pytest.mark.parametrize(
+        "parallel, seeds",
+        [(4, [1, 2, 3]), (3, [1, 2, 3, 4, 5]), (2, list(range(1, 9)))],
+        ids=["unit-batches", "ragged-tail", "batches-of-8"],
+    )
+    def test_every_batch_shape_matches_the_serial_sweep(self, parallel, seeds):
+        baseline, _ = sweep(seeds=seeds)
+        batched, runner = sweep(seeds=seeds, parallel=parallel)
+        assert batched == baseline, f"parallel={parallel} over {len(seeds)} seeds diverged"
+        assert runner.supervision.dispatched == len(SLICE) * len(seeds)
+
+
+# ----------------------------------------------------------------------
+# Batch sizing: the supervisor's own decision
+# ----------------------------------------------------------------------
+def batch_indices(parallel, count):
+    runner = Runner(parallel=parallel)
+    try:
+        supervisor = Supervisor(runner, FAST_RETRY, FaultState())
+        tasks = supervisor._batches([(index, None) for index in range(count)])
+        return [[index for index, _item in task.items] for task in tasks]
+    finally:
+        runner.close()
+
+
+class TestBatchSizing:
+    @pytest.mark.parametrize(
+        "parallel, count, longest",
+        [
+            (4, 5, 1),  # tiny sweeps stay unbatched
+            (2, 12, 3),
+            (3, 20, 3),  # ragged: the last batch is one short
+            (4, 100, 100 // 8),  # scales with the sweep: about two batches per worker
+            (2, 1000, MAX_AUTO_BATCH),
+            (8, 10**4, MAX_AUTO_BATCH),  # capped however large the sweep
+        ],
+    )
+    def test_batches_partition_the_sweep(self, parallel, count, longest):
+        batches = batch_indices(parallel, count)
+        lengths = [len(batch) for batch in batches]
+        assert max(lengths) == longest
+        assert max(lengths) - min(lengths) <= 1  # strided batches stay balanced
+        assert len(batches) >= min(count, 2 * parallel)  # every worker kept busy
+        assert sorted(index for batch in batches for index in batch) == list(range(count))
+        assert all(batch == sorted(batch) for batch in batches)  # item order within a batch
+
+    def test_empty_sweep_has_no_batches(self):
+        assert batch_indices(2, 0) == []
 
 
 # ----------------------------------------------------------------------
@@ -208,3 +259,38 @@ class TestConcurrentDispatch:
         assert results == [0.7] * 8
         assert runner.supervision.crashes_detected == 0
         assert runner.supervision.retries == 0
+
+
+# ----------------------------------------------------------------------
+# The CLI / session surface
+# ----------------------------------------------------------------------
+class TestParallelCLI:
+    @pytest.mark.parametrize("command", ["run", "analyze", "fuzz"])
+    @pytest.mark.parametrize("value", ["0", "-2", "three"])
+    def test_parallel_validated_at_parse_time(self, command, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([command, "--parallel", value])
+        assert excinfo.value.code == EXIT_CONFIG
+        assert "expected a positive integer" in capsys.readouterr().err
+
+    def test_parallel_cli_sweep_matches_serial_store(self, tmp_path, capsys):
+        base = ["run", "--scenario"] + SLICE + ["--seeds", "2", "--quiet"]
+        assert cli_main(base + ["--store", str(tmp_path / "serial.db")]) == 0
+        assert cli_main(base + ["--parallel", "2", "--store", str(tmp_path / "parallel.db")]) == 0
+        capsys.readouterr()
+        with RunStore(tmp_path / "serial.db") as serial, RunStore(tmp_path / "parallel.db") as parallel:
+            serial_records = sorted(r.canonical_json() for r in serial.iter_records())
+            parallel_records = sorted(r.canonical_json() for r in parallel.iter_records())
+        assert serial_records == parallel_records
+        assert len(serial_records) == len(SLICE) * 2
+
+    def test_parallel_session_sweep_job_matches_serial(self, tmp_path):
+        from repro.jobs import select_scenarios, specs_to_payloads
+
+        scenarios = select_scenarios(SLICE)
+        job = SweepJob(specs_to_payloads(scenarios), seeds=tuple(SEEDS), collect_records=True)
+        with ExecutionSession(parallel=2, store_path=tmp_path / "runs.db") as session:
+            outcome = session.submit(job)
+            assert session.runner.supervision.dispatched == len(SLICE) * len(SEEDS)
+        produced = canonical_results(outcome.records)
+        assert produced == canonical_results(Runner().iter_runs(scenarios, SEEDS))
