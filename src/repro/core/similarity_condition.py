@@ -104,15 +104,20 @@ def similarity_intersection(
     system: SystemConfig,
     input_domain: Sequence[Value],
     output_domain: Sequence[Value],
+    space: Optional[Sequence[InputConfiguration]] = None,
 ) -> FrozenSet[Value]:
     """Compute the intersection of ``val(c')`` over all ``c'`` similar to ``config``.
 
     This is the set from which any valid ``Lambda(config)`` must be drawn
     (and, by canonical similarity, the set of values decidable in a canonical
-    execution corresponding to ``config``).
+    execution corresponding to ``config``).  ``space`` is the enumerated
+    ``I`` to search, for callers that already hold it; by default it is
+    enumerated afresh.
     """
     remaining = set(output_domain)
-    for candidate in enumerate_input_configurations(system, input_domain):
+    if space is None:
+        space = enumerate_input_configurations(system, input_domain)
+    for candidate in space:
         if not remaining:
             break
         if similar(config, candidate):
@@ -146,9 +151,11 @@ def check_similarity_condition(
         domain = input_domain
 
     result = SimilarityConditionResult(holds=True)
+    # Enumerated once: every minimal configuration searches the same space.
+    space = list(enumerate_input_configurations(system, input_domain))
     for config in enumerate_minimal_configurations(system, input_domain):
         result.minimal_configurations_checked += 1
-        intersection = similarity_intersection(prop, config, system, input_domain, domain)
+        intersection = similarity_intersection(prop, config, system, input_domain, domain, space)
         result.admissible_intersections[config] = intersection
         if not intersection:
             result.holds = False
@@ -193,9 +200,10 @@ def verify_lambda_function(
     domain = output_domain if output_domain is not None else prop.output_domain
     if domain is None:
         domain = input_domain
+    space = list(enumerate_input_configurations(system, input_domain))
     for config in enumerate_minimal_configurations(system, input_domain):
         chosen = lambda_fn(config)
-        for candidate in enumerate_input_configurations(system, input_domain):
+        for candidate in space:
             if similar(config, candidate) and not prop.is_admissible(candidate, chosen):
                 return config
     return None

@@ -40,11 +40,8 @@ def canonical_results(results):
 
 
 def sweep(seeds=SEEDS, **runner_kwargs):
-    runner = Runner(**runner_kwargs)
-    try:
+    with Runner(**runner_kwargs) as runner:
         return canonical_results(runner.iter_runs(find_scenarios(SLICE), seeds)), runner
-    finally:
-        runner.close()
 
 
 def _sleep(seconds):
@@ -59,6 +56,12 @@ def warm_runner(**runner_kwargs):
     return runner
 
 
+def batch_indices(parallel, count):
+    with Runner(parallel=parallel) as runner:
+        tasks = Supervisor(runner, FAST_RETRY, FaultState())._batches([(i, None) for i in range(count)])
+    return [[index for index, _item in task.items] for task in tasks]
+
+
 # ----------------------------------------------------------------------
 # Byte-identity with serial
 # ----------------------------------------------------------------------
@@ -71,14 +74,8 @@ class TestBatchedByteIdentity:
         assert runner.supervision.dispatched == len(SLICE) * len(SEEDS)
 
     def test_batches_are_strided_and_capped(self):
-        runner = Runner(parallel=2)
-        supervisor = Supervisor(runner, FAST_RETRY, FaultState())
-        items = [(index, None) for index in range(12)]
-        batches = [[index for index, _item in task.items] for task in supervisor._batches(items)]
-        assert batches == [[0, 4, 8], [1, 5, 9], [2, 6, 10], [3, 7, 11]]
-        huge = supervisor._batches([(index, None) for index in range(1000)])
-        assert max(len(task.items) for task in huge) == MAX_AUTO_BATCH
-        assert sorted(index for task in huge for index, _item in task.items) == list(range(1000))
+        assert batch_indices(2, 12) == [[0, 4, 8], [1, 5, 9], [2, 6, 10], [3, 7, 11]]
+        assert max(len(batch) for batch in batch_indices(2, 1000)) == MAX_AUTO_BATCH
 
     @pytest.mark.parametrize(
         "parallel, seeds",
@@ -95,16 +92,6 @@ class TestBatchedByteIdentity:
 # ----------------------------------------------------------------------
 # Batch sizing: the supervisor's own decision
 # ----------------------------------------------------------------------
-def batch_indices(parallel, count):
-    runner = Runner(parallel=parallel)
-    try:
-        supervisor = Supervisor(runner, FAST_RETRY, FaultState())
-        tasks = supervisor._batches([(index, None) for index in range(count)])
-        return [[index for index, _item in task.items] for task in tasks]
-    finally:
-        runner.close()
-
-
 class TestBatchSizing:
     @pytest.mark.parametrize(
         "parallel, count, longest",
@@ -137,34 +124,22 @@ class TestWarmStoreUnderBatching:
     def test_second_sweep_executes_zero_runs(self, tmp_path):
         scenarios = find_scenarios(SLICE)
         with RunStore(tmp_path / "runs.db") as store:
-            cold = Runner(parallel=2)
-            try:
+            with Runner(parallel=2) as cold:
                 first = canonical_results(cold.iter_runs(scenarios, SEEDS, store=store))
-                assert cold.supervision.dispatched == len(scenarios) * len(SEEDS)
-            finally:
-                cold.close()
-            warm = Runner(parallel=2)
-            try:
+            assert cold.supervision.dispatched == len(scenarios) * len(SEEDS)
+            with Runner(parallel=2) as warm:
                 second = canonical_results(warm.iter_runs(scenarios, SEEDS, store=store))
-                assert warm.supervision.dispatched == 0
-            finally:
-                warm.close()
+            assert warm.supervision.dispatched == 0
         assert second == first
 
     def test_partial_cache_dispatches_only_the_misses(self, tmp_path):
         scenarios = find_scenarios(SLICE)
         with RunStore(tmp_path / "runs.db") as store:
-            seeded = Runner()
-            try:
+            with Runner() as seeded:
                 list(seeded.iter_runs(scenarios[:2], SEEDS, store=store))
-            finally:
-                seeded.close()
-            topped_up = Runner(parallel=2)
-            try:
+            with Runner(parallel=2) as topped_up:
                 results = canonical_results(topped_up.iter_runs(scenarios, SEEDS, store=store))
-                assert topped_up.supervision.dispatched == 2 * len(SEEDS)
-            finally:
-                topped_up.close()
+            assert topped_up.supervision.dispatched == 2 * len(SEEDS)
         baseline, _ = sweep()
         assert results == baseline
 
@@ -176,13 +151,9 @@ class TestBatchSupervision:
     def test_crashed_batch_recovers_every_member(self):
         baseline, _ = sweep()
         plan = FaultPlan(seed=1, worker_crash=(1, 4))
-        runner = Runner(parallel=2, retry_policy=FAST_RETRY, fault_plan=plan)
-        try:
-            survived = canonical_results(runner.iter_runs(find_scenarios(SLICE), SEEDS))
-            assert runner.supervision.crashes_detected >= 1
-            assert runner.supervision.quarantined == 0
-        finally:
-            runner.close()
+        survived, runner = sweep(parallel=2, retry_policy=FAST_RETRY, fault_plan=plan)
+        assert runner.supervision.crashes_detected >= 1
+        assert runner.supervision.quarantined == 0
         assert survived == baseline
 
     @pytest.mark.parametrize("poison", [0, 4, 5])  # first, middle and last of a batch
@@ -193,11 +164,8 @@ class TestBatchSupervision:
         # complete normally and only the poison task may be quarantined.
         scenarios = find_scenarios(SLICE)
         plan = FaultPlan(poison=(poison,))
-        runner = Runner(parallel=2, retry_policy=FAST_RETRY, fault_plan=plan)
-        try:
+        with Runner(parallel=2, retry_policy=FAST_RETRY, fault_plan=plan) as runner:
             results = list(runner.iter_runs(scenarios, SEEDS))
-        finally:
-            runner.close()
         poisoned = [r for r in results if r.error and r.error.startswith(POISON_ERROR_PREFIX)]
         healthy = [r for r in results if r.completed]
         assert len(results) == len(scenarios) * len(SEEDS)
@@ -217,15 +185,9 @@ class TestBatchSupervision:
         # With no retries granted, a task that crashes beside another batch
         # cannot be blamed on the spot: both are re-run in isolation, and
         # only the one that crashes again is quarantined.
-        runner = Runner(
-            parallel=2,
-            retry_policy=RetryPolicy(max_attempts=1, backoff_base=0.0, backoff_max=0.0),
-            fault_plan=FaultPlan(poison=(1,)),
-        )
-        try:
+        no_retry = RetryPolicy(max_attempts=1, backoff_base=0.0, backoff_max=0.0)
+        with Runner(parallel=2, retry_policy=no_retry, fault_plan=FaultPlan(poison=(1,))) as runner:
             results = list(runner.iter_tasks(_sleep, [0.2, 0.0, 0.0, 0.0], on_poison=lambda i, r: r))
-        finally:
-            runner.close()
         assert [type(result).__name__ for result in results].count("PoisonRecord") == 1
         assert results[0] == 0.2
         assert runner.supervision.quarantined == 1
@@ -236,13 +198,10 @@ class TestBatchSupervision:
 # ----------------------------------------------------------------------
 class TestConcurrentDispatch:
     def test_two_workers_overlap_sleep_tasks(self):
-        runner = warm_runner()
-        try:
+        with warm_runner() as runner:
             started = time.monotonic()
             results = list(runner.iter_tasks(_sleep, [0.4] * 8))
             elapsed = time.monotonic() - started
-        finally:
-            runner.close()
         assert results == [0.4] * 8
         assert elapsed < 0.75 * 8 * 0.4, f"8 x 0.4 s tasks at parallel=2 took {elapsed:.2f} s"
 
@@ -251,11 +210,8 @@ class TestConcurrentDispatch:
         # eight of them take ~2.8 s on two workers: a deadline that counted
         # queue time (or shared one per-task deadline across a batch) would
         # report false hangs here and re-run tasks.
-        runner = warm_runner(supervision_deadline=1.0)
-        try:
+        with warm_runner(supervision_deadline=1.0) as runner:
             results = list(runner.iter_tasks(_sleep, [0.7] * 8))
-        finally:
-            runner.close()
         assert results == [0.7] * 8
         assert runner.supervision.crashes_detected == 0
         assert runner.supervision.retries == 0
