@@ -3,7 +3,9 @@
 Paper claim: every solvable validity property satisfies ``C_S``.  As a
 corollary of the characterization, Correct-Proposal Validity ("strong
 consensus") loses ``C_S`` exactly when ``n <= (|V| + 1) t`` — the classical
-Fitzi–Garay threshold, which the decision procedure re-derives here.
+Fitzi–Garay threshold, which the decision procedure re-derives here at
+``t = 1`` (n = 4, 5) and ``t = 2`` (n = 7, where binary holds and ternary
+fails).
 """
 
 from conftest import run_once
@@ -44,15 +46,17 @@ def test_thm3_solvable_named_properties_satisfy_cs(benchmark):
 def test_thm3_fitzi_garay_threshold(benchmark):
     def sweep():
         results = {}
-        for n in (4, 5):
+        for n, t in ((4, 1), (5, 1), (7, 2)):
             for domain_size in (2, 3):
                 domain = list(range(domain_size))
-                system = SystemConfig(n, 1)
+                system = SystemConfig(n, t)
                 holds = check_similarity_condition(CorrectProposalValidity(domain), system, domain).holds
-                results[(n, domain_size)] = holds
+                results[(n, t, domain_size)] = holds
         return results
 
     results = run_once(benchmark, sweep)
-    benchmark.extra_info["cs_holds"] = {f"n={n},|V|={v}": holds for (n, v), holds in results.items()}
-    for (n, domain_size), holds in results.items():
-        assert holds == (n > (domain_size + 1) * 1), (n, domain_size)
+    benchmark.extra_info["cs_holds"] = {
+        f"n={n},t={t},|V|={v}": holds for (n, t, v), holds in results.items()
+    }
+    for (n, t, domain_size), holds in results.items():
+        assert holds == (n > (domain_size + 1) * t), (n, t, domain_size)

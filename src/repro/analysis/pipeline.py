@@ -31,10 +31,10 @@ Two classification methods, one verdict
 Over small finite domains the exact decision procedures
 (:func:`~repro.core.triviality.check_triviality`,
 :func:`~repro.core.similarity_condition.check_similarity_condition`) settle
-every question by enumeration.  Their cost grows with
-``|I_{n-t}| * |I|`` (see :func:`enumeration_cost`), so for the larger
-systems the sweep matrix uses (``n=7, t=2`` and ``n=10, t=3`` presets) the
-pipeline switches to the *closed-form oracle* for the named standard
+every question by enumeration.  Tasks whose :func:`enumeration_cost` key
+(``|I_{n-t}| * |I|``) exceeds the budget — the larger systems the sweep
+matrix uses (ternary ``n=7, t=2`` and the ``n=10, t=3`` presets) — are
+decided by the *closed-form oracle* for the named standard
 properties — the same per-property arguments that justify the closed-form
 ``Lambda`` functions of :mod:`repro.core.lambda_functions` (e.g. Strong
 Validity satisfies ``C_S`` iff ``n > 3t``; Correct-Proposal Validity iff
@@ -337,12 +337,14 @@ class AnalysisVerdict:
 # Classification: enumeration where affordable, closed form beyond
 # ----------------------------------------------------------------------
 def enumeration_cost(system: SystemConfig, domain_size: int) -> int:
-    """Upper bound on similarity-enumeration work: ``|I_{n-t}| * |I|``.
+    """The budget key of the exact procedures: ``|I_{n-t}| * |I|``.
 
-    The triviality check is linear in ``|I|``; the similarity-condition
-    check intersects the admissible sets over the similarity neighbourhood
-    of every minimal configuration, which scans ``|I|`` candidates for each
-    of the ``|I_{n-t}|`` minimal configurations — the dominant term.
+    An upper bound on the similarity-condition work: every minimal
+    configuration's neighbourhood is a subset of ``I``.  The check builds
+    each neighbourhood directly rather than scanning ``I``, so the real work
+    is far smaller; the formula is kept as it is because
+    :func:`classification_method` compares it with the budget, and a new
+    formula would move verdict methods and the committed baseline.
     """
     minimal = math.comb(system.n, system.quorum) * domain_size**system.quorum
     return minimal * count_input_configurations(system, domain_size)

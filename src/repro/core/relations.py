@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Sequence
 
-from .input_config import InputConfiguration, Value, enumerate_input_configurations
+from .configuration_space import ConfigurationSpace
+from .input_config import InputConfiguration, Value
 from .system import SystemConfig
 
 
@@ -56,14 +57,19 @@ def similar_configurations(
 ) -> Iterator[InputConfiguration]:
     """Enumerate ``sim(c)``: every input configuration similar to ``config``.
 
-    The enumeration covers the full space ``I`` over the given finite domain
-    and filters it by :func:`similar`.  For the moderate system sizes used in
-    the decision procedures this is exact and fast enough; protocols never
-    need this enumeration (they use closed-form ``Lambda`` functions).
+    The neighbourhood is constructed over the full space ``I`` of the given
+    finite domain (:meth:`~repro.core.configuration_space.ConfigurationSpace.neighbourhood_blocks`:
+    the proposals of shared processes are fixed to ``config``'s, the other
+    positions range over ``V_I``) and yielded in
+    :func:`~repro.core.input_config.enumerate_input_configurations` order —
+    exactly the configurations of ``I`` that :func:`similar` accepts.
+    Protocols never need this enumeration (they use closed-form ``Lambda``
+    functions).
     """
-    for candidate in enumerate_input_configurations(system, input_domain):
-        if similar(config, candidate):
-            yield candidate
+    space = ConfigurationSpace(system, input_domain)
+    for block in space.neighbourhood_blocks(config):
+        for index in block:
+            yield space.configurations[index]
 
 
 def similarity_classes(

@@ -9,7 +9,12 @@ sufficient when ``n > 3t``.
 
 Over finite domains the condition is decidable by enumeration; this module
 implements that decision procedure and materialises the resulting ``Lambda``
-as an explicit table, which the Universal protocol can then execute.
+as an explicit table, which the Universal protocol can then execute.  The
+procedure runs over one :class:`~repro.core.configuration_space.ConfigurationSpace`
+per check: ``I`` is enumerated once, ``val`` is evaluated once per
+configuration, and each minimal configuration's similarity neighbourhood is
+constructed directly from its proposals rather than found by testing every
+configuration of ``I`` with :func:`~repro.core.relations.similar`.
 
 Examples
 --------
@@ -39,14 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Optional, Sequence
 
-from .input_config import (
-    InputConfiguration,
-    Value,
-    enumerate_input_configurations,
-    enumerate_minimal_configurations,
-)
+from .configuration_space import ConfigurationSpace
+from .input_config import InputConfiguration, Value
 from .ordering import canonical_sorted
-from .relations import similar
 from .system import SystemConfig
 from .validity import ValidityProperty
 
@@ -104,24 +104,25 @@ def similarity_intersection(
     system: SystemConfig,
     input_domain: Sequence[Value],
     output_domain: Sequence[Value],
-    space: Optional[Sequence[InputConfiguration]] = None,
+    space: Optional[ConfigurationSpace] = None,
 ) -> FrozenSet[Value]:
     """Compute the intersection of ``val(c')`` over all ``c'`` similar to ``config``.
 
     This is the set from which any valid ``Lambda(config)`` must be drawn
     (and, by canonical similarity, the set of values decidable in a canonical
-    execution corresponding to ``config``).  ``space`` is the enumerated
-    ``I`` to search, for callers that already hold it; by default it is
-    enumerated afresh.
+    execution corresponding to ``config``).  ``space`` is the indexed ``I``
+    of the running check, built for ``prop`` over ``output_domain``; by
+    default one is built afresh.
     """
-    remaining = set(output_domain)
     if space is None:
-        space = enumerate_input_configurations(system, input_domain)
-    for candidate in space:
+        space = ConfigurationSpace(system, input_domain, prop, output_domain)
+    vals = space.vals
+    remaining = set(output_domain)
+    for block in space.neighbourhood_blocks(config):
+        # Interned: each distinct admissible set of the block is intersected once.
+        remaining.intersection_update(*set(map(vals.__getitem__, block)))
         if not remaining:
             break
-        if similar(config, candidate):
-            remaining &= prop.admissible_values(candidate, output_domain)
     return frozenset(remaining)
 
 
@@ -130,6 +131,7 @@ def check_similarity_condition(
     system: SystemConfig,
     input_domain: Sequence[Value],
     output_domain: Optional[Sequence[Value]] = None,
+    space: Optional[ConfigurationSpace] = None,
 ) -> SimilarityConditionResult:
     """Decide ``C_S`` over finite domains and build an explicit ``Lambda`` table.
 
@@ -139,6 +141,10 @@ def check_similarity_condition(
         input_domain: Finite proposal domain ``V_I``.
         output_domain: Finite decision domain ``V_O``; defaults to the
             property's own domain, or to ``input_domain``.
+        space: The indexed ``I`` built for the same property and domains,
+            when the caller shares it with another check (as
+            :func:`~repro.core.solvability.classify` does with triviality);
+            built here by default.
 
     Returns:
         A :class:`SimilarityConditionResult`.  When ``holds`` is ``True`` the
@@ -146,14 +152,12 @@ def check_similarity_condition(
         admissible-for-all-similar value (the canonical minimum of the
         intersection, so that the function is deterministic).
     """
-    domain = output_domain if output_domain is not None else prop.output_domain
-    if domain is None:
-        domain = input_domain
+    if space is None:
+        space = ConfigurationSpace(system, input_domain, prop, output_domain)
+    domain = space.output_domain
 
     result = SimilarityConditionResult(holds=True)
-    # Enumerated once: every minimal configuration searches the same space.
-    space = list(enumerate_input_configurations(system, input_domain))
-    for config in enumerate_minimal_configurations(system, input_domain):
+    for config in space.configurations[: space.minimal]:
         result.minimal_configurations_checked += 1
         intersection = similarity_intersection(prop, config, system, input_domain, domain, space)
         result.admissible_intersections[config] = intersection
@@ -191,19 +195,21 @@ def verify_lambda_function(
     Used by the tests to validate the closed-form ``Lambda`` implementations
     of :mod:`repro.core.lambda_functions` against the definition: for every
     minimal configuration ``c`` and every configuration ``c'`` similar to
-    ``c``, ``Lambda(c)`` must be admissible for ``c'``.
+    ``c``, ``Lambda(c)`` must be admissible for ``c'``.  Admissibility is
+    asked of ``prop.is_admissible`` directly, so a candidate value outside
+    any finite ``V_O`` is judged by the property itself; ``output_domain``
+    is accepted for symmetry with the other checks and not needed.
 
     Returns:
         ``None`` when the candidate is correct, otherwise the first minimal
         configuration on which it fails.
     """
-    domain = output_domain if output_domain is not None else prop.output_domain
-    if domain is None:
-        domain = input_domain
-    space = list(enumerate_input_configurations(system, input_domain))
-    for config in enumerate_minimal_configurations(system, input_domain):
+    space = ConfigurationSpace(system, input_domain)
+    configurations = space.configurations
+    for config in configurations[: space.minimal]:
         chosen = lambda_fn(config)
-        for candidate in space:
-            if similar(config, candidate) and not prop.is_admissible(candidate, chosen):
-                return config
+        for block in space.neighbourhood_blocks(config):
+            for index in block:
+                if not prop.is_admissible(configurations[index], chosen):
+                    return config
     return None

@@ -40,6 +40,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from .configuration_space import ConfigurationSpace
 from .input_config import InputConfiguration, Value, enumerate_input_configurations
 from .similarity_condition import SimilarityConditionResult, check_similarity_condition
 from .system import SystemConfig
@@ -88,9 +89,13 @@ def classify(
       (Theorem 1);
     * if ``n > 3t`` the property is solvable iff it satisfies ``C_S``
       (Theorems 3 and 5).
+
+    Both decision procedures run over one indexed configuration space, so
+    ``I`` is enumerated and ``val`` evaluated once per configuration.
     """
-    triviality = check_triviality(prop, system, input_domain, output_domain)
-    similarity = check_similarity_condition(prop, system, input_domain, output_domain)
+    space = ConfigurationSpace(system, input_domain, prop, output_domain)
+    triviality = check_triviality(prop, system, input_domain, output_domain, space)
+    similarity = check_similarity_condition(prop, system, input_domain, output_domain, space)
 
     if triviality.trivial:
         solvable = True

@@ -8,7 +8,10 @@ property is trivial, and Theorem 2 strengthens this to the existence of a
 finite ``always_admissible`` procedure.
 
 This module provides the exact decision procedure over finite domains and
-the ``always_admissible`` witness extraction.
+the ``always_admissible`` witness extraction.  It reads ``val`` from a
+:class:`~repro.core.configuration_space.ConfigurationSpace`, the same table
+the similarity-condition check uses when both run inside
+:func:`~repro.core.solvability.classify`.
 
 Examples
 --------
@@ -36,9 +39,10 @@ always-admissible value:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Sequence
+from typing import FrozenSet, Optional, Sequence
 
-from .input_config import InputConfiguration, Value, enumerate_input_configurations
+from .configuration_space import ConfigurationSpace
+from .input_config import Value
 from .ordering import canonical_sorted
 from .system import SystemConfig
 from .validity import ValidityProperty
@@ -78,29 +82,12 @@ class TrivialityResult:
         return self.witness
 
 
-def always_admissible_values(
-    prop: ValidityProperty,
-    configurations: Iterable[InputConfiguration],
-    output_domain: Sequence[Value],
-) -> FrozenSet[Value]:
-    """Intersect ``val(c)`` over the given configurations.
-
-    Returns the set of values admissible for *every* configuration in the
-    iterable (over the finite output domain).
-    """
-    remaining = set(output_domain)
-    for config in configurations:
-        if not remaining:
-            break
-        remaining &= prop.admissible_values(config, output_domain)
-    return frozenset(remaining)
-
-
 def check_triviality(
     prop: ValidityProperty,
     system: SystemConfig,
     input_domain: Sequence[Value],
     output_domain: Optional[Sequence[Value]] = None,
+    space: Optional[ConfigurationSpace] = None,
 ) -> TrivialityResult:
     """Decide whether a validity property is trivial over finite domains.
 
@@ -111,27 +98,23 @@ def check_triviality(
         input_domain: Finite proposal domain ``V_I``.
         output_domain: Finite decision domain ``V_O``; defaults to the
             property's own domain, or to ``input_domain`` when absent.
+        space: The indexed ``I`` built for the same property and domains,
+            when the caller shares it with another check; built here by
+            default.
 
     Returns:
         A :class:`TrivialityResult` with the witness value when trivial.
     """
-    domain = output_domain if output_domain is not None else prop.output_domain
-    if domain is None:
-        domain = input_domain
-    remaining = set(domain)
-    checked = 0
-    for config in enumerate_input_configurations(system, input_domain):
-        checked += 1
-        if not remaining:
-            continue
-        remaining &= prop.admissible_values(config, domain)
-    always = frozenset(remaining)
+    if space is None:
+        space = ConfigurationSpace(system, input_domain, prop, output_domain)
+    # Interned: each distinct admissible set is intersected once.
+    always = frozenset(set(space.output_domain).intersection(*set(space.vals)))
     witness = canonical_sorted(always)[0] if always else None
     return TrivialityResult(
         trivial=bool(always),
         always_admissible=always,
         witness=witness,
-        configurations_checked=checked,
+        configurations_checked=len(space.configurations),
     )
 
 

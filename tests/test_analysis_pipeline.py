@@ -82,7 +82,7 @@ class TestClassifyTask:
         # Wherever both methods are affordable they must agree on every
         # discrete fact — the justification for trusting the closed form on
         # the large matrix systems.
-        for n, t, domain in ((4, 1, (0, 1)), (4, 1, (0, 1, 2)), (5, 1, (0, 1))):
+        for n, t, domain in ((4, 1, (0, 1)), (4, 1, (0, 1, 2)), (5, 1, (0, 1)), (7, 2, (0, 1))):
             for key in ("strong", "weak", "correct-proposal", "median", "interval",
                         "convex-hull", "constant", "free"):
                 task = PropertyTask(family="named", key=key, n=n, t=t, domain=domain)
@@ -94,6 +94,24 @@ class TestClassifyTask:
                               "witness", "always_admissible"):
                     assert getattr(enumerated, field) == getattr(closed, field), (
                         task.label, field)
+
+    def test_fitzi_garay_flip_at_n7_t2_matches_enumeration(self):
+        # n > (|V_I| + 1)t: 7 > 6 holds for a binary domain, 7 <= 8 fails for
+        # a ternary one.  The ternary space is beyond the default budget, so
+        # the exact procedure is forced with a larger one and pinned to the
+        # closed form.
+        for domain, holds in (((0, 1), True), ((0, 1, 2), False)):
+            task = PropertyTask(family="named", key="correct-proposal", n=7, t=2, domain=domain)
+            enumerated = classify_task(task, budget=10**9)
+            closed = classify_task(task, budget=0)
+            assert enumerated.method == "enumeration"
+            assert closed.method == "closed-form"
+            assert enumerated.satisfies_similarity_condition is holds
+            assert closed.satisfies_similarity_condition is holds
+            assert enumerated.solvable is holds and closed.solvable is holds
+            assert not enumerated.trivial and not closed.trivial
+        ternary = PropertyTask(family="named", key="correct-proposal", n=7, t=2, domain=(0, 1, 2))
+        assert classify_task(ternary).method == "closed-form"
 
     def test_fitzi_garay_bound_flips_correct_proposal_within_the_family(self):
         solvable = classify_task(

@@ -15,6 +15,7 @@ import repro.analysis.complexity
 import repro.analysis.lower_bound
 import repro.analysis.partitioning
 import repro.analysis.pipeline
+import repro.core.configuration_space
 import repro.core.similarity_condition
 import repro.core.solvability
 import repro.core.triviality
@@ -25,6 +26,7 @@ DOCUMENTED_MODULES = [
     repro.analysis.lower_bound,
     repro.analysis.partitioning,
     repro.analysis.pipeline,
+    repro.core.configuration_space,
     repro.core.similarity_condition,
     repro.core.solvability,
     repro.core.triviality,
